@@ -22,7 +22,7 @@
 
 use ninja_parallel::ThreadPoolBuilder;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
 static FLAG_LOCK: Mutex<()> = Mutex::new(());
@@ -62,11 +62,14 @@ fn skewed_burst(steal: bool) -> (ninja_probe::PoolMetrics, u64) {
     pool.scope(|s| {
         let (started, huge_started_after) = (&started, &huge_started_after);
         // The burst must come from a pool worker (external spawns go to
-        // the injector in both modes): nest it in a root task, and park
-        // the scope caller in `body` long enough that a freshly-spawned,
-        // actively-scanning worker claims the root — not the caller's own
-        // post-body drain loop.
+        // the injector in both modes): nest it in a root task, and keep
+        // the scope caller in `body` until the root reports which thread
+        // claimed it. While the caller blocks here its post-body drain
+        // loop cannot claim the root, so a worker must.
+        let (on_lane, root_lane) = mpsc::channel();
         s.spawn_nested(move |s| {
+            let name = std::thread::current().name().map(str::to_owned);
+            on_lane.send(name).expect("scope body waits for the root");
             for _ in 0..TINY_TASKS {
                 s.spawn(move || {
                     // ORDERING: a monotonic progress counter; the order
@@ -82,7 +85,12 @@ fn skewed_burst(steal: bool) -> (ninja_probe::PoolMetrics, u64) {
                 std::thread::sleep(HUGE);
             });
         });
-        std::thread::sleep(Duration::from_millis(2));
+        let lane = root_lane.recv().expect("root task runs");
+        assert!(
+            lane.as_deref()
+                .is_some_and(|n| n.starts_with("ninja-worker-")),
+            "the root task must run on a pool worker, ran on {lane:?}"
+        );
     });
     let after = pool.metrics().delta(&before);
     // ORDERING: read after the scope drained; no writers left.

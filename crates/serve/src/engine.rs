@@ -11,8 +11,9 @@
 //! nor wedge the service — the stuck executor is abandoned (and tagged
 //! for the span validator) and a fresh one takes its place.
 
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -120,17 +121,138 @@ impl<R> Response<R> {
 }
 
 /// The caller's handle to one in-flight request.
+///
+/// A ticket and its `Resolver` share one slot: a mutex-guarded
+/// `{value, waiting, closed}` plus a condvar. The resolver stores the
+/// value under the lock and signals the condvar only when `waiting` says
+/// the ticket is blocked on it, so a request resolved before its caller
+/// waits costs no wake-up at all.
 pub struct Ticket<R> {
-    rx: Receiver<Response<R>>,
+    slot: Arc<Slot<R>>,
+}
+
+struct Slot<R> {
+    state: Mutex<SlotState<R>>,
+    cv: Condvar,
+}
+
+struct SlotState<R> {
+    value: Option<Response<R>>,
+    /// Set by `Ticket::wait` while it sleeps on the condvar.
+    waiting: bool,
+    /// Set once the resolver has resolved or been dropped; no value can
+    /// arrive after it.
+    closed: bool,
 }
 
 impl<R> Ticket<R> {
+    /// A ticket that is already resolved to `resp`.
+    fn ready(resp: Response<R>) -> Self {
+        Self::with_state(Some(resp), true)
+    }
+
+    fn with_state(value: Option<Response<R>>, closed: bool) -> Self {
+        let state = SlotState {
+            value,
+            waiting: false,
+            closed,
+        };
+        Self {
+            slot: Arc::new(Slot {
+                state: Mutex::new(state),
+                cv: Condvar::new(),
+            }),
+        }
+    }
+
+    /// An unresolved ticket and the resolver that will resolve it.
+    fn pending() -> (Self, Resolver<R>) {
+        let ticket = Self::with_state(None, false);
+        let resolver = Resolver {
+            slot: Some(Arc::clone(&ticket.slot)),
+        };
+        (ticket, resolver)
+    }
+
     /// Wait up to `timeout` for the resolution. `None` means the engine
     /// failed to resolve in time — the load generator counts that as a
     /// contract violation, and the integration suite asserts it never
-    /// happens within deadline + grace.
+    /// happens within deadline + grace. A ticket whose resolver was
+    /// dropped unresolved, or whose resolution was already taken by an
+    /// earlier `wait`, returns `None` at once.
     pub fn wait(&self, timeout: Duration) -> Option<Response<R>> {
-        self.rx.recv_timeout(timeout).ok()
+        let mut state = lock_recover(&self.slot.state);
+        let mut until = None;
+        loop {
+            if let Some(resp) = state.value.take() {
+                return Some(resp);
+            }
+            if state.closed {
+                return None;
+            }
+            let now = Instant::now();
+            // A timeout too large for `Instant` waits without a bound.
+            let until = *until.get_or_insert_with(|| now.checked_add(timeout));
+            if until.is_some_and(|t| now >= t) {
+                return None;
+            }
+            state.waiting = true;
+            state = match until {
+                Some(t) => {
+                    let (guard, _) = self
+                        .slot
+                        .cv
+                        .wait_timeout(state, t - now)
+                        .unwrap_or_else(|e| e.into_inner());
+                    guard
+                }
+                None => self.slot.cv.wait(state).unwrap_or_else(|e| e.into_inner()),
+            };
+            state.waiting = false;
+        }
+    }
+}
+
+/// The engine's end of a [`Ticket`]. Resolving consumes it; dropping it
+/// unresolved (say, a batch unwound with the envelope in hand) closes the
+/// slot so the waiting ticket returns `None` at once instead of sitting
+/// out its timeout.
+struct Resolver<R> {
+    /// Always `Some` until `resolve` or `drop` closes the slot.
+    slot: Option<Arc<Slot<R>>>,
+}
+
+impl<R> Resolver<R> {
+    fn resolve(mut self, resp: Response<R>) {
+        if let Some(slot) = self.slot.take() {
+            slot.close(Some(resp));
+        }
+    }
+}
+
+impl<R> Drop for Resolver<R> {
+    fn drop(&mut self) {
+        if let Some(slot) = self.slot.take() {
+            slot.close(None);
+        }
+    }
+}
+
+impl<R> Slot<R> {
+    /// Store `value` (if any), mark the slot closed, and wake the ticket
+    /// only if it is asleep on the condvar. The waiter sets `waiting`
+    /// under the same lock before it sleeps, so a resolution either lands
+    /// before the waiter checks `value` or sees `waiting` set and signals
+    /// it.
+    fn close(&self, value: Option<Response<R>>) {
+        let mut state = lock_recover(&self.state);
+        state.value = value;
+        state.closed = true;
+        let waiting = state.waiting;
+        drop(state);
+        if waiting {
+            self.cv.notify_one();
+        }
     }
 }
 
@@ -177,16 +299,77 @@ struct Envelope<K: BatchKernel> {
     req: K::Req,
     enqueued: Instant,
     deadline: Instant,
-    tx: Sender<Response<K::Resp>>,
+    resolver: Resolver<K::Resp>,
+}
+
+/// The admission queue and the batcher's wake protocol, all under one
+/// mutex: `submit` signals `queue_cv` only when it finds `idle` set, and
+/// the batcher sets `idle` only while it sleeps on an empty queue.
+struct Queue<K: BatchKernel> {
+    items: VecDeque<Envelope<K>>,
+    /// The batcher is asleep (or about to sleep) on `queue_cv`.
+    idle: bool,
+    /// Set by `Drop for Engine`; `submit` then rejects and the batcher
+    /// expires what is left and exits.
+    shutdown: bool,
+}
+
+/// Lock-free engine counters, snapshotted by [`Engine::stats`].
+///
+/// Every counter is a standalone monotone tally that publishes no other
+/// memory, so each uses relaxed atomics. A tally that must cover a
+/// resolution is bumped before the resolver runs; the ticket's mutex then
+/// orders the increment before any `stats()` the caller makes after
+/// `wait` returns.
+#[derive(Default)]
+struct Counters {
+    submitted: AtomicU64,
+    rejected: AtomicU64,
+    expired: AtomicU64,
+    ok_by_rung: [AtomicU64; 3],
+    attempts: AtomicU64,
+    panics: AtomicU64,
+    timeouts: AtomicU64,
+    validation_failures: AtomicU64,
+    trips: AtomicU64,
+    recoveries: AtomicU64,
+    last_panic: Mutex<Option<String>>,
+}
+
+/// Add `n` to a counter.
+fn bump(counter: &AtomicU64, n: u64) {
+    // ORDERING: a standalone tally (see `Counters`); the ticket mutex,
+    // not this add, orders it before a caller's later `stats()`.
+    counter.fetch_add(n, Ordering::Relaxed);
+}
+
+impl Counters {
+    fn snapshot(&self) -> EngineStats {
+        // ORDERING: each tally is read on its own, as `Counters` says; a
+        // snapshot taken mid-batch may mix counts from either side of it.
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        EngineStats {
+            submitted: get(&self.submitted),
+            rejected: get(&self.rejected),
+            expired: get(&self.expired),
+            ok_by_rung: self.ok_by_rung.each_ref().map(get),
+            attempts: get(&self.attempts),
+            panics: get(&self.panics),
+            timeouts: get(&self.timeouts),
+            validation_failures: get(&self.validation_failures),
+            trips: get(&self.trips),
+            recoveries: get(&self.recoveries),
+            last_panic: lock_recover(&self.last_panic).clone(),
+        }
+    }
 }
 
 struct Shared<K: BatchKernel> {
     kernel: Arc<K>,
     config: ServeConfig,
-    queue: Mutex<std::collections::VecDeque<Envelope<K>>>,
+    queue: Mutex<Queue<K>>,
     queue_cv: Condvar,
-    shutdown: AtomicBool,
-    stats: Mutex<EngineStats>,
+    counters: Counters,
     chaos: Mutex<Option<ChaosSchedule>>,
     /// Schedule slot consumed by the next batch attempt.
     attempt_slot: AtomicU64,
@@ -206,10 +389,13 @@ impl<K: BatchKernel> Engine<K> {
         let shared = Arc::new(Shared {
             kernel: Arc::new(kernel),
             config,
-            queue: Mutex::new(std::collections::VecDeque::new()),
+            queue: Mutex::new(Queue {
+                items: VecDeque::new(),
+                idle: false,
+                shutdown: false,
+            }),
             queue_cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            stats: Mutex::new(EngineStats::default()),
+            counters: Counters::default(),
             chaos: Mutex::new(chaos),
             attempt_slot: AtomicU64::new(0),
         });
@@ -238,30 +424,32 @@ impl<K: BatchKernel> Engine<K> {
     /// Submit one request. Never blocks: a full queue resolves the
     /// ticket immediately as `Rejected`.
     pub fn submit(&self, req: K::Req) -> Ticket<K::Resp> {
-        let (tx, rx) = mpsc::channel();
         let now = Instant::now();
-        let mut lock = lock_recover(&self.shared.queue);
-        if self.shared.shutdown.load(Ordering::Acquire)
-            || lock.len() >= self.shared.config.queue_capacity
-        {
-            drop(lock);
-            lock_recover(&self.shared.stats).rejected += 1;
-            let _ = tx.send(Response::Rejected);
-            return Ticket { rx };
+        let mut q = lock_recover(&self.shared.queue);
+        if q.shutdown || q.items.len() >= self.shared.config.queue_capacity {
+            drop(q);
+            bump(&self.shared.counters.rejected, 1);
+            return Ticket::ready(Response::Rejected);
         }
-        lock.push_back(Envelope {
+        let (ticket, resolver) = Ticket::pending();
+        q.items.push_back(Envelope {
             req,
             enqueued: now,
             deadline: now + self.shared.config.deadline,
-            tx,
+            resolver,
         });
-        drop(lock);
-        lock_recover(&self.shared.stats).submitted += 1;
+        // Only a sleeping batcher needs the (syscall-priced) signal, and
+        // one signal per sleep is enough.
+        let wake = std::mem::take(&mut q.idle);
+        drop(q);
+        bump(&self.shared.counters.submitted, 1);
         if ninja_probe::tracing_enabled() {
             ninja_probe::instant(&format!("serve:enqueue:{}", self.shared.kernel.name()));
         }
-        self.shared.queue_cv.notify_one();
-        Ticket { rx }
+        if wake {
+            self.shared.queue_cv.notify_one();
+        }
+        ticket
     }
 
     /// Replace the chaos schedule at runtime (`None` stops injection).
@@ -272,14 +460,16 @@ impl<K: BatchKernel> Engine<K> {
 
     /// Snapshot the cumulative counters.
     pub fn stats(&self) -> EngineStats {
-        lock_recover(&self.shared.stats).clone()
+        self.shared.counters.snapshot()
     }
 }
 
 impl<K: BatchKernel> Drop for Engine<K> {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
-        self.shared.queue_cv.notify_all();
+        // Set under the queue lock, so the batcher either sees it before
+        // it sleeps or is already asleep and gets this signal.
+        lock_recover(&self.shared.queue).shutdown = true;
+        self.shared.queue_cv.notify_one();
         if let Some(h) = self.batcher.take() {
             let _ = h.join();
         }
@@ -453,34 +643,29 @@ fn batcher_loop<K: BatchKernel>(shared: Arc<Shared<K>>) {
     ];
     let mut executor = ExecutorHandle::spawn(Arc::clone(&shared.kernel), 0);
     loop {
-        let batch: Vec<Envelope<K>> = {
-            let mut q = lock_recover(&shared.queue);
-            while q.is_empty() {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-                let (guard, _) = shared
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(5))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
-            }
-            let take = q.len().min(shared.config.max_batch);
-            q.drain(..take).collect()
-        };
-        process_batch(&shared, &mut breakers, &mut executor, batch);
-        if shared.shutdown.load(Ordering::Acquire) {
+        let mut q = lock_recover(&shared.queue);
+        // No poll timeout: `submit` pushes and reads `idle` under this
+        // lock, so a request either is seen here before the batcher
+        // sleeps or finds `idle` set and signals it.
+        while q.items.is_empty() && !q.shutdown {
+            q.idle = true;
+            q = shared.queue_cv.wait(q).unwrap_or_else(|e| e.into_inner());
+            q.idle = false;
+        }
+        if q.shutdown {
             // Resolve anything still queued so no ticket dangles.
-            let mut q = lock_recover(&shared.queue);
-            let leftovers: Vec<_> = q.drain(..).collect();
+            let leftovers: Vec<_> = q.items.drain(..).collect();
             drop(q);
-            let mut stats = lock_recover(&shared.stats);
+            bump(&shared.counters.expired, leftovers.len() as u64);
             for env in leftovers {
-                stats.expired += 1;
-                let _ = env.tx.send(Response::Expired);
+                env.resolver.resolve(Response::Expired);
             }
             return;
         }
+        let take = q.items.len().min(shared.config.max_batch);
+        let batch: Vec<Envelope<K>> = q.items.drain(..take).collect();
+        drop(q);
+        process_batch(&shared, &mut breakers, &mut executor, batch);
     }
 }
 
@@ -526,11 +711,9 @@ fn process_batch<K: BatchKernel>(
         let (expired, live): (Vec<_>, Vec<_>) =
             members.into_iter().partition(|m| now >= m.env.deadline);
         if !expired.is_empty() {
-            let mut stats = lock_recover(&shared.stats);
-            stats.expired += expired.len() as u64;
-            drop(stats);
+            bump(&shared.counters.expired, expired.len() as u64);
             for m in expired {
-                let _ = m.env.tx.send(Response::Expired);
+                m.env.resolver.resolve(Response::Expired);
             }
         }
         members = live;
@@ -551,7 +734,7 @@ fn process_batch<K: BatchKernel>(
         let budget = last_deadline.saturating_duration_since(now) + cfg.attempt_grace;
         let attempt_reqs: Vec<K::Req> = members.iter().map(|m| m.env.req.clone()).collect();
 
-        lock_recover(&shared.stats).attempts += 1;
+        bump(&shared.counters.attempts, 1);
         let outcome = executor.run_attempt(rung, attempt_reqs, fault, cfg.hang_sleep, budget);
 
         let failure = match outcome {
@@ -564,16 +747,15 @@ fn process_batch<K: BatchKernel>(
             {
                 // Validated: resolve every live member.
                 let resolved = Instant::now();
-                let mut stats = lock_recover(&shared.stats);
-                stats.ok_by_rung[rung.index()] += members.len() as u64;
+                let counters = &shared.counters;
+                bump(&counters.ok_by_rung[rung.index()], members.len() as u64);
                 if rung != Rung::Scalar && breakers[rung.index()].record_success() {
-                    stats.recoveries += 1;
+                    bump(&counters.recoveries, 1);
                 }
-                drop(stats);
                 for (m, value) in members.into_iter().zip(out) {
                     let queue_us = picked_up.duration_since(m.env.enqueued).as_micros() as u64;
                     let total_us = resolved.duration_since(m.env.enqueued).as_micros() as u64;
-                    let _ = m.env.tx.send(Response::Ok {
+                    m.env.resolver.resolve(Response::Ok {
                         value,
                         rung,
                         queue_us,
@@ -583,17 +765,16 @@ fn process_batch<K: BatchKernel>(
                 return;
             }
             AttemptOutcome::Completed(_) => {
-                lock_recover(&shared.stats).validation_failures += 1;
+                bump(&shared.counters.validation_failures, 1);
                 "validation"
             }
             AttemptOutcome::Panicked(message) => {
-                let mut stats = lock_recover(&shared.stats);
-                stats.panics += 1;
-                stats.last_panic = Some(message);
+                *lock_recover(&shared.counters.last_panic) = Some(message);
+                bump(&shared.counters.panics, 1);
                 "panic"
             }
             AttemptOutcome::TimedOut => {
-                lock_recover(&shared.stats).timeouts += 1;
+                bump(&shared.counters.timeouts, 1);
                 "timeout"
             }
         };
@@ -606,7 +787,7 @@ fn process_batch<K: BatchKernel>(
             ));
         }
         if rung != Rung::Scalar && breakers[rung.index()].record_failure(Instant::now()) {
-            lock_recover(&shared.stats).trips += 1;
+            bump(&shared.counters.trips, 1);
         }
 
         // Capped exponential backoff, clipped to the remaining deadline
@@ -779,5 +960,107 @@ mod tests {
                 "ticket dangled across shutdown"
             );
         }
+    }
+
+    #[test]
+    fn serial_round_trips_never_lose_a_wake_up() {
+        // Each request finds the batcher asleep on an empty queue, so
+        // every one depends on `submit`'s signal. The batcher has no poll
+        // timeout: a lost signal strands the ticket and fails here.
+        let engine = Engine::new(AddK, ServeConfig::default(), None);
+        let budget = wait_budget(&engine.config());
+        for i in 0..2_000u32 {
+            match engine.submit(i).wait(budget) {
+                Some(Response::Ok { value, .. }) => assert_eq!(value, i + 1000),
+                other => panic!("round trip {i}: {other:?}"),
+            }
+        }
+        assert_eq!(engine.stats().ok(), 2_000);
+    }
+
+    type Resp = Response<u32>;
+
+    /// A wait that only a missed signal could sit out.
+    const LONG: Duration = Duration::from_secs(60);
+
+    fn ok(value: u32) -> Resp {
+        Response::Ok {
+            value,
+            rung: Rung::Ninja,
+            queue_us: 0,
+            total_us: 0,
+        }
+    }
+
+    /// Block until `ticket` is asleep in `wait`, so the caller acts on a
+    /// sleeping waiter without sleeping itself.
+    fn until_waiting(ticket: &Ticket<u32>) {
+        while !lock_recover(&ticket.slot.state).waiting {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn ticket_resolved_before_wait() {
+        let (ticket, resolver) = Ticket::pending();
+        resolver.resolve(ok(7));
+        assert_eq!(ticket.wait(Duration::ZERO), Some(ok(7)));
+    }
+
+    #[test]
+    fn ticket_resolved_during_wait() {
+        let (ticket, resolver) = Ticket::pending();
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                until_waiting(&ticket);
+                resolver.resolve(ok(8));
+            });
+            assert_eq!(ticket.wait(LONG), Some(ok(8)));
+        });
+        // Woken by the resolver, not by the timeout.
+        assert!(start.elapsed() < LONG / 2, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn ticket_times_out_unresolved() {
+        let (ticket, _resolver) = Ticket::<u32>::pending();
+        let timeout = Duration::from_millis(20);
+        let start = Instant::now();
+        assert_eq!(ticket.wait(timeout), None);
+        assert!(start.elapsed() >= timeout);
+        assert!(!lock_recover(&ticket.slot.state).waiting);
+    }
+
+    #[test]
+    fn ticket_with_dropped_resolver_returns_none_at_once() {
+        // Dropped before the wait.
+        let (ticket, resolver) = Ticket::<u32>::pending();
+        drop(resolver);
+        let start = Instant::now();
+        assert_eq!(ticket.wait(LONG), None);
+        // Dropped while the ticket sleeps.
+        let (ticket, resolver) = Ticket::<u32>::pending();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                until_waiting(&ticket);
+                drop(resolver);
+            });
+            assert_eq!(ticket.wait(LONG), None);
+        });
+        assert!(start.elapsed() < LONG / 2, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn second_wait_after_resolution_returns_none_at_once() {
+        let (ticket, resolver) = Ticket::pending();
+        resolver.resolve(ok(9));
+        assert_eq!(ticket.wait(Duration::ZERO), Some(ok(9)));
+        let start = Instant::now();
+        assert_eq!(ticket.wait(LONG), None);
+        let rejected = Ticket::<u32>::ready(Response::Rejected);
+        assert_eq!(rejected.wait(Duration::ZERO), Some(Response::Rejected));
+        assert_eq!(rejected.wait(LONG), None);
+        assert!(start.elapsed() < LONG / 2, "{:?}", start.elapsed());
     }
 }
